@@ -1,9 +1,11 @@
 package simengine
 
 import (
+	"runtime"
 	"testing"
 
 	"ricsa/internal/fcp"
+	"ricsa/internal/testutil"
 )
 
 // TestPooledSweepsBitIdenticalToInline pins the solver's pool determinism
@@ -59,6 +61,31 @@ func TestClosedPoolStepStillCompletes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if dt := sim.Step(); dt <= 0 {
 			t.Fatalf("step %d returned dt %v", i, dt)
+		}
+	}
+}
+
+// TestSimStepAllocationFlat pins steady-state Step at zero allocations per
+// cycle, inline and over a 2-wide pool: pencil scratch, the pool batch
+// descriptor and the fused CFL reduction are all reused across steps.
+func TestSimStepAllocationFlat(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pool := fcp.NewPool(2)
+	defer pool.Close()
+	for _, pooled := range []bool{false, true} {
+		sim := NewBowShock(24, 12, 10, DefaultBowShockParams())
+		sim.SetWorkers(1)
+		if pooled {
+			sim.SetWorkers(0)
+			sim.SetQueue(pool.NewQueue())
+		}
+		sim.Step() // warm: scratch growth, first full CFL pass
+		sim.Step()
+		if allocs := testing.AllocsPerRun(20, func() { sim.Step() }); allocs > 0 {
+			t.Fatalf("pooled=%v: steady-state Step allocates %.1f allocs/op, want 0", pooled, allocs)
 		}
 	}
 }

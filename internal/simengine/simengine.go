@@ -3,7 +3,8 @@
 // Hydrodynamics (VH1) code the paper instruments (Fig. 7). The solver uses
 // dimensional splitting — the sweepx/sweepy/sweepz structure of VH1's main
 // loop — with MUSCL (minmod-limited) reconstruction and HLL fluxes, and
-// parallelizes pencil updates across goroutine workers.
+// runs each sweep's pencils on the shared frame-compute pool (internal/fcp)
+// or inline on the stepping goroutine.
 //
 // Two canonical problems are provided: the Sod shock tube (the paper's GUI
 // example) with an exact Riemann solution for verification, and a stellar
@@ -96,6 +97,10 @@ type Sim struct {
 	// scratch caches per-slot pencil buffers, reused across sweeps and
 	// steps so the steady-state solver loop performs no allocation.
 	scratch []*sweepScratch
+	// maxSpeed is the current state's maximum signal speed, refreshed by
+	// each step's last sweep for the next step's timestep; 0 until the
+	// first step's full pass.
+	maxSpeed float64
 	// pending holds a steering update applied at the next step boundary.
 	pending *Params
 }
@@ -211,6 +216,58 @@ func (s *Sim) SetParams(p Params) {
 	s.pending = &cp
 }
 
+// SteerByName schedules a steering update that sets the physics parameters
+// named in kv (keys setByName accepts; view keys sharing the steering map
+// are ignored) on top of what the next step boundary would apply: the
+// pending update if one is queued, else the current parameters. The
+// read-modify-write holds the Sim's lock, so partial steers issued within
+// one step interval compose instead of the later one dropping the earlier
+// one's keys.
+func (s *Sim) SteerByName(kv map[string]float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.par
+	if s.pending != nil {
+		p = *s.pending
+	}
+	for k, v := range kv {
+		p.setByName(k, v)
+	}
+	s.pending = &p
+}
+
+// IsParamKey reports whether key names a steerable physics parameter.
+func IsParamKey(key string) bool {
+	var p Params
+	return p.setByName(key, 0)
+}
+
+// setByName sets the parameter a steering key names and reports whether
+// key names one; p is unchanged for any other key.
+func (p *Params) setByName(key string, v float64) bool {
+	switch key {
+	case "left_pressure":
+		p.LeftPressure = v
+	case "left_density":
+		p.LeftDensity = v
+	case "right_pressure":
+		p.RightPressure = v
+	case "right_density":
+		p.RightDensity = v
+	case "gamma":
+		p.Gamma = v
+	case "cfl":
+		p.CFL = v
+	case "wind_velocity":
+		p.WindVelocity = v
+	case "wind_density":
+		p.WindDensity = v
+	default:
+		return false
+	}
+	return true
+}
+
 // Time returns the simulated physical time. Safe to call while another
 // goroutine drives Step (the web front ends poll it for status).
 func (s *Sim) Time() float64 {
@@ -256,22 +313,45 @@ func (s *Sim) queueFor() *fcp.Queue {
 }
 
 // Step advances one cycle (sweepx, sweepy, sweepz) and returns the dt used.
+//
+// The timestep comes from the maximum signal speed of the current state.
+// The previous step's last sweep already folded it out of its update loop
+// (s.maxSpeed), so only the first step, and a step whose boundary applied a
+// steering update (which may rewrite cells, gamma or CFL), pay a full
+// maxSignalSpeed pass.
+//
+//ricsa:noalloc
 func (s *Sim) Step() float64 {
 	s.mu.Lock()
-	if s.pending != nil {
+	steered := s.pending != nil
+	if steered {
 		s.applySteering(*s.pending)
 		s.pending = nil
 	}
 	par := s.par
 	s.mu.Unlock()
 
-	dt := s.stableDt(par)
-	s.sweep(0, dt, par)
+	if steered || s.maxSpeed == 0 {
+		s.maxSpeed = s.maxSignalSpeed(par)
+	}
+	dt := par.CFL * s.dx / s.maxSpeed
+
+	// A sweep along an axis shorter than 3 cells is a no-op, so the last
+	// sweep that runs — the one that refreshes s.maxSpeed — is along the
+	// last axis of length >= 3 (x always qualifies: newSim enforces NX >= 3).
+	last := 0
+	if s.NY >= 3 {
+		last = 1
+	}
+	if s.NZ >= 3 {
+		last = 2
+	}
+	s.sweep(0, dt, par, last == 0)
 	if s.NY > 1 {
-		s.sweep(1, dt, par)
+		s.sweep(1, dt, par, last == 1)
 	}
 	if s.NZ > 1 {
-		s.sweep(2, dt, par)
+		s.sweep(2, dt, par, last == 2)
 	}
 	s.mu.Lock()
 	s.time += dt
@@ -306,10 +386,14 @@ func (s *Sim) applySteering(p Params) {
 	}
 }
 
-// stableDt computes the CFL-limited timestep from the global maximum
-// signal speed.
-func (s *Sim) stableDt(par Params) float64 {
-	maxSpeed := 1e-12
+// minSignalSpeed floors the max-signal-speed reduction, keeping dt finite
+// on a quiescent (or fully solid) field.
+const minSignalSpeed = 1e-12
+
+// maxSignalSpeed is the full CFL reduction: the maximum signal speed
+// |u|max + c over every fluid cell of the current state.
+func (s *Sim) maxSignalSpeed(par Params) float64 {
+	maxSpeed := minSignalSpeed
 	g := par.Gamma
 	for i := range s.rho {
 		if s.solid[i] {
@@ -319,21 +403,38 @@ func (s *Sim) stableDt(par Params) float64 {
 		if r <= 0 {
 			continue
 		}
-		u := s.mx[i] / r
-		v := s.my[i] / r
-		w := s.mz[i] / r
-		kin := 0.5 * r * (u*u + v*v + w*w)
-		p := (g - 1) * (s.en[i] - kin)
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		c := math.Sqrt(g * p / r)
-		sp := math.Max(math.Abs(u), math.Max(math.Abs(v), math.Abs(w))) + c
-		if sp > maxSpeed {
+		if sp := signalSpeed(g, r, s.mx[i], s.my[i], s.mz[i], s.en[i]); sp > maxSpeed {
 			maxSpeed = sp
 		}
 	}
-	return par.CFL * s.dx / maxSpeed
+	return maxSpeed
+}
+
+// signalSpeed is one cell's fastest signal, max(|u|, |v|, |w|) + c, from
+// its conserved state (density r > 0, momentum, total energy e). The
+// last sweep's fused reduction and the full maxSignalSpeed pass share it,
+// so both produce the same bits. Absolute values are never signed zeros
+// and any NaN input makes c (and so the sum) NaN, so the plain
+// comparisons pick exactly what math.Max would.
+func signalSpeed(g, r, mx, my, mz, e float64) float64 {
+	u := mx / r
+	v := my / r
+	w := mz / r
+	kin := 0.5 * r * (u*u + v*v + w*w)
+	p := (g - 1) * (e - kin)
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	c := math.Sqrt(g * p / r)
+	vw := math.Abs(v)
+	if aw := math.Abs(w); aw > vw {
+		vw = aw
+	}
+	uvw := math.Abs(u)
+	if vw > uvw {
+		uvw = vw
+	}
+	return uvw + c
 }
 
 func minI(a, b int) int {

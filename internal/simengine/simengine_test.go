@@ -159,6 +159,37 @@ func TestSteeringAppliedAtStepBoundary(t *testing.T) {
 	}
 }
 
+func TestSteerByNameComposesPendingSteers(t *testing.T) {
+	s := NewSod(16, 1, 1, DefaultSodParams())
+	s.SteerByName(map[string]float64{"left_pressure": 5, "yaw": 1})
+	s.SteerByName(map[string]float64{"cfl": 0.3})
+	if s.Params().LeftPressure == 5 {
+		t.Fatal("update applied before step boundary")
+	}
+	s.Step()
+	if p := s.Params(); p.LeftPressure != 5 || p.CFL != 0.3 {
+		t.Fatalf("left_pressure %v, cfl %v; want 5 and 0.3", p.LeftPressure, p.CFL)
+	}
+}
+
+func TestSetByNameCoversParamKeys(t *testing.T) {
+	var p Params
+	for i, k := range []string{"left_pressure", "left_density", "right_pressure",
+		"right_density", "gamma", "cfl", "wind_velocity", "wind_density"} {
+		if !p.setByName(k, float64(i+1)) || !IsParamKey(k) {
+			t.Fatalf("%s not accepted", k)
+		}
+	}
+	want := Params{Gamma: 5, CFL: 6, LeftDensity: 2, LeftPressure: 1,
+		RightDensity: 4, RightPressure: 3, WindDensity: 8, WindVelocity: 7}
+	if p != want {
+		t.Fatalf("params %+v, want %+v", p, want)
+	}
+	if p.setByName("isovalue", 1) || IsParamKey("yaw") || p != want {
+		t.Fatal("view key accepted as a physics parameter")
+	}
+}
+
 func TestBowShockFormsDensityPileUp(t *testing.T) {
 	s := NewBowShock(96, 48, 1, DefaultBowShockParams())
 	for i := 0; i < 300; i++ {

@@ -1121,37 +1121,21 @@ func (s *ManagedSession) waitFrame(ctx context.Context, since uint64, v *Viewer)
 // consultation before the next frame. Application is atomic: an unknown
 // key rejects the whole request with nothing applied.
 func (s *ManagedSession) Steer(params map[string]float64) error {
+	steerSim := false
 	for k := range params {
 		switch k {
-		case "left_pressure", "left_density", "right_pressure", "right_density",
-			"gamma", "cfl", "wind_velocity", "wind_density",
-			"isovalue", "yaw", "pitch", "zoom":
+		case "isovalue", "yaw", "pitch", "zoom":
 		default:
-			return fmt.Errorf("steering: unknown steering parameter %q", k)
+			if !simengine.IsParamKey(k) {
+				return fmt.Errorf("steering: unknown steering parameter %q", k)
+			}
+			steerSim = true
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.sim.Params()
-	steerSim := false
 	for k, v := range params {
 		switch k {
-		case "left_pressure":
-			p.LeftPressure, steerSim = v, true
-		case "left_density":
-			p.LeftDensity, steerSim = v, true
-		case "right_pressure":
-			p.RightPressure, steerSim = v, true
-		case "right_density":
-			p.RightDensity, steerSim = v, true
-		case "gamma":
-			p.Gamma, steerSim = v, true
-		case "cfl":
-			p.CFL, steerSim = v, true
-		case "wind_velocity":
-			p.WindVelocity, steerSim = v, true
-		case "wind_density":
-			p.WindDensity, steerSim = v, true
 		case "isovalue":
 			if s.req.Isovalue != float32(v) {
 				s.req.Isovalue = float32(v)
@@ -1169,7 +1153,7 @@ func (s *ManagedSession) Steer(params map[string]float64) error {
 		}
 	}
 	if steerSim {
-		s.sim.SetParams(p)
+		s.sim.SteerByName(params)
 	}
 	return nil
 }

@@ -405,6 +405,29 @@ func TestSteerAtomicity(t *testing.T) {
 	}
 }
 
+// TestPartialSimSteersCompose checks that two partial physics steers issued
+// within one step interval both land: the second merges onto the first's
+// pending update, not onto the parameters the solver last applied.
+func TestPartialSimSteersCompose(t *testing.T) {
+	m := testManager(t, 1)
+	// Bypass Create so no lifecycle goroutine steps the sim between steers.
+	s, err := newManagedSession(m, smallRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Steer(map[string]float64{"left_pressure": 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Steer(map[string]float64{"left_density": 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.sim.Step()
+	if p := s.sim.Params(); p.LeftPressure != 7 || p.LeftDensity != 3 {
+		t.Fatalf("after one step: left_pressure %v, left_density %v; want 7 and 3",
+			p.LeftPressure, p.LeftDensity)
+	}
+}
+
 func TestShutdownStopsEverything(t *testing.T) {
 	m := NewSessionManager(ManagerConfig{MaxSessions: 4, ReoptimizeEvery: 2, Seed: 42})
 	var sessions []*ManagedSession

@@ -25,9 +25,10 @@ func RenderDataset(f *grid.ScalarField, req Request, width, height int) (*viz.Im
 // RenderDatasetInto for the isosurface method: the cache carries the
 // previous frame's per-block meshes and stamps, so only blocks whose
 // content moved (or that cross the isovalue) re-extract, over q when
-// non-nil. The assembled mesh is byte-identical to a from-scratch block
-// extraction of the same snapshot, so the rendered image is too. Methods
-// other than isosurface (and a nil cache) fall through to the full path.
+// non-nil. The blocks are drawn in fixed block order without assembling
+// them into one mesh, so the image is byte-identical to rendering a
+// from-scratch block extraction of the same snapshot. Methods other than
+// isosurface (and a nil cache) fall through to the full path.
 func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
 	if cache == nil || (req.Method != "" && req.Method != "isosurface") {
 		return RenderDatasetInto(sc, f, req, width, height)
@@ -47,12 +48,12 @@ func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Qu
 		{0, 0, 0},
 		{float32(f.NX - 1), float32(f.NY - 1), float32(f.NZ - 1)},
 	}
-	marchingcubes.ExtractROIInto(&sc.Mesh, cache, f, req.BlockEdge, req.Isovalue, q)
+	marchingcubes.ExtractROI(cache, f, req.BlockEdge, req.Isovalue, q)
 	opt := render.DefaultOptions()
 	opt.Width, opt.Height = width, height
 	opt.Camera = req.Camera
 	opt.FixedBounds = &sc.Bounds
-	return render.RenderWith(sc, &sc.Mesh, opt), nil
+	return render.RenderBlocksWith(sc, cache, opt), nil
 }
 
 // RenderDatasetInto is RenderDataset with caller-owned scratch: the mesh

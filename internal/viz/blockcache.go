@@ -37,6 +37,12 @@ type BlockMeshCache struct {
 
 	blocks []grid.Block
 	meshes []Mesh
+	// spare holds arenas taken from blocks whose mesh went empty; Plan
+	// lends them to dirty blocks that have none. Without it every block
+	// the surface ever crossed would keep its own high-water arena, so the
+	// retained capacity grew with how far the surface had travelled rather
+	// than with its current size.
+	spare []Mesh
 	// stamps/prev double-buffer the per-block stamp sets so each Plan
 	// compares against the previous frame without copying.
 	stamps, prev grid.BlockStamps
@@ -91,7 +97,7 @@ func (c *BlockMeshCache) Plan(f *grid.ScalarField, edge int, iso float32) []int 
 			} else {
 				// Culled: no surface can cross this block, so its mesh is
 				// empty by construction.
-				c.meshes[i].Reset()
+				c.reclaim(i)
 			}
 		}
 	} else {
@@ -106,7 +112,7 @@ func (c *BlockMeshCache) Plan(f *grid.ScalarField, edge int, iso float32) []int 
 			if !active {
 				if wasActive {
 					// The surface left the block; its mesh is now empty.
-					c.meshes[i].Reset()
+					c.reclaim(i)
 				}
 				continue
 			}
@@ -119,6 +125,13 @@ func (c *BlockMeshCache) Plan(f *grid.ScalarField, edge int, iso float32) []int 
 		}
 	}
 
+	for _, i := range c.dirty {
+		if cap(c.meshes[i].Vertices) == 0 && len(c.spare) > 0 {
+			c.meshes[i] = c.spare[len(c.spare)-1]
+			c.spare = c.spare[:len(c.spare)-1]
+		}
+	}
+
 	c.prev, c.stamps = c.stamps, c.prev
 	c.warm = true
 	c.iso, c.edge = iso, edge
@@ -126,6 +139,26 @@ func (c *BlockMeshCache) Plan(f *grid.ScalarField, edge int, iso float32) []int 
 	c.Extracted = len(c.dirty)
 	c.Reused = len(c.blocks) - c.Extracted
 	return c.dirty
+}
+
+// ReclaimEmpty moves the arenas of the blocks the last Plan scheduled whose
+// re-extraction produced no surface to the spare list. Call it after
+// extracting those blocks, before the next Plan.
+func (c *BlockMeshCache) ReclaimEmpty() {
+	for _, i := range c.dirty {
+		if len(c.meshes[i].Vertices) == 0 {
+			c.reclaim(i)
+		}
+	}
+}
+
+// reclaim empties block i's mesh, moving its arena to the spare list.
+func (c *BlockMeshCache) reclaim(i int) {
+	m := &c.meshes[i]
+	if cap(m.Vertices) > 0 {
+		c.spare = append(c.spare, Mesh{Vertices: m.Vertices[:0]})
+	}
+	*m = Mesh{}
 }
 
 func abs32(v float32) float32 {

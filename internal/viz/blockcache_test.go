@@ -189,3 +189,52 @@ func TestBlockMeshCacheThreshold(t *testing.T) {
 		t.Fatalf("drift beyond threshold planned %v, want the one block", d)
 	}
 }
+
+// TestBlockMeshCacheRecyclesArenas: as a surface sweeps through the blocks,
+// the arenas of blocks it leaves are lent to the blocks it enters, so the
+// retained capacity tracks the surface's current extent rather than every
+// block it ever crossed (8 blocks here, one holding the surface at a time).
+func TestBlockMeshCacheRecyclesArenas(t *testing.T) {
+	const nx, edge, perBlock = 64, 8, 4096
+	f := grid.NewScalarField(nx, 8, 8)
+	var c BlockMeshCache
+	for front := 1; front < nx; front++ {
+		for z := 0; z < f.NZ; z++ {
+			for y := 0; y < f.NY; y++ {
+				for x := 0; x < nx; x++ {
+					v := float32(1)
+					if x < front {
+						v = 0
+					}
+					f.Data[(z*f.NY+y)*nx+x] = v
+				}
+			}
+		}
+		for _, i := range c.Plan(f, edge, 0.5) {
+			// Stand-in extractor: only the block owning the crossing cell
+			// (front-1) emits triangles.
+			m := c.Mesh(i)
+			m.Reset()
+			if b := c.Block(i); b.X0 <= front-1 && front-1 < b.X0+b.NX {
+				for len(m.Vertices) < perBlock {
+					m.Vertices = append(m.Vertices, Vec3{})
+				}
+			}
+		}
+		c.ReclaimEmpty()
+	}
+	if c.Len() < 8 {
+		t.Fatalf("decomposition has %d blocks, want >= 8", c.Len())
+	}
+	retained := 0
+	for i := range c.meshes {
+		retained += cap(c.meshes[i].Vertices)
+	}
+	for _, m := range c.spare {
+		retained += cap(m.Vertices)
+	}
+	if retained > 3*perBlock {
+		t.Fatalf("retained %d vertices of arena capacity over %d blocks, want <= %d (one surface-sized arena, plus slack)",
+			retained, c.Len(), 3*perBlock)
+	}
+}

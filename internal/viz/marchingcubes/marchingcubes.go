@@ -349,13 +349,12 @@ func (t *roiTask) Run(_, i int) {
 
 var roiPool = sync.Pool{New: func() any { return new(roiTask) }}
 
-// ExtractROIInto is the dirty-block incremental extraction path: the cache
-// classifies every block against its previous-frame stamp, only the dirty
-// ones are re-extracted (over q when non-nil, inline otherwise), and the
-// composed mesh is assembled in fixed block order — byte-identical to a
-// from-scratch ExtractBlocksInto of the same snapshot. edge < 1 defaults
-// to 8-cell blocks.
-func ExtractROIInto(out *viz.Mesh, c *viz.BlockMeshCache, f *grid.ScalarField, edge int, iso float32, q *fcp.Queue) {
+// ExtractROI is the dirty-block incremental extraction path: the cache
+// classifies every block against its previous-frame stamp and only the
+// dirty ones are re-extracted (over q when non-nil, inline otherwise), into
+// the cache's per-block meshes. edge < 1 defaults to 8-cell blocks.
+// render.RenderBlocksWith draws the blocks without assembling them.
+func ExtractROI(c *viz.BlockMeshCache, f *grid.ScalarField, edge int, iso float32, q *fcp.Queue) {
 	if edge < 1 {
 		edge = 8
 	}
@@ -366,7 +365,15 @@ func ExtractROIInto(out *viz.Mesh, c *viz.BlockMeshCache, f *grid.ScalarField, e
 		q.Run(len(dirty), t)
 		*t = roiTask{}
 		roiPool.Put(t)
+		c.ReclaimEmpty()
 	}
+}
+
+// ExtractROIInto is ExtractROI followed by assembly of the composed mesh in
+// fixed block order — byte-identical to a from-scratch ExtractBlocksInto of
+// the same snapshot.
+func ExtractROIInto(out *viz.Mesh, c *viz.BlockMeshCache, f *grid.ScalarField, edge int, iso float32, q *fcp.Queue) {
+	ExtractROI(c, f, edge, iso, q)
 	out.Reset()
 	for i := 0; i < c.Len(); i++ {
 		out.Append(c.Mesh(i))

@@ -54,6 +54,65 @@ func Render(m *viz.Mesh, opt Options) *viz.Image {
 //
 //ricsa:noalloc
 func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {
+	return renderSource(sc, vertexSource{mesh: m}, opt)
+}
+
+// RenderBlocksWith is RenderWith over a BlockMeshCache's per-block meshes
+// taken in block order — the mesh marchingcubes.ExtractROIInto would
+// assemble — without building that copy. The image is byte-identical to
+// assembling and calling RenderWith; the frame path skips holding the
+// surface a third time (block arenas, assembled mesh, projections).
+//
+//ricsa:noalloc
+func RenderBlocksWith(sc *viz.FrameScratch, c *viz.BlockMeshCache, opt Options) *viz.Image {
+	return renderSource(sc, vertexSource{cache: c}, opt)
+}
+
+// vertexSource is the geometry a render pass projects: one mesh, or the
+// per-block meshes of a cache concatenated in block order.
+type vertexSource struct {
+	mesh  *viz.Mesh
+	cache *viz.BlockMeshCache
+}
+
+func (v vertexSource) parts() int {
+	if v.cache != nil {
+		return v.cache.Len()
+	}
+	return 1
+}
+
+func (v vertexSource) part(i int) []viz.Vec3 {
+	if v.cache != nil {
+		return v.cache.Mesh(i).Vertices
+	}
+	return v.mesh.Vertices
+}
+
+// bounds is Mesh.Bounds over the concatenated parts.
+func (v vertexSource) bounds() (lo, hi viz.Vec3, ok bool) {
+	for i := 0; i < v.parts(); i++ {
+		for _, p := range v.part(i) {
+			if !ok {
+				lo, hi, ok = p, p, true
+			}
+			for k := 0; k < 3; k++ {
+				if p[k] < lo[k] {
+					lo[k] = p[k]
+				}
+				if p[k] > hi[k] {
+					hi[k] = p[k]
+				}
+			}
+		}
+	}
+	return lo, hi, ok
+}
+
+// renderSource is the render pass behind RenderWith and RenderBlocksWith.
+//
+//ricsa:noalloc
+func renderSource(sc *viz.FrameScratch, src vertexSource, opt Options) *viz.Image {
 	if sc == nil {
 		sc = &viz.FrameScratch{}
 	}
@@ -67,12 +126,18 @@ func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {
 		opt.Camera.Zoom = 1
 	}
 	img := sc.ReuseImage(opt.Width, opt.Height)
-	lo, hi, ok := m.Bounds()
-	if !ok {
+	nv := 0
+	for i := 0; i < src.parts(); i++ {
+		nv += len(src.part(i))
+	}
+	if nv == 0 {
 		return img
 	}
+	var lo, hi viz.Vec3
 	if opt.FixedBounds != nil {
 		lo, hi = opt.FixedBounds[0], opt.FixedBounds[1]
+	} else {
+		lo, hi, _ = src.bounds()
 	}
 
 	// Fit the model: center on the bounding box, scale so the largest
@@ -92,22 +157,27 @@ func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {
 	}
 
 	// Project all vertices once.
-	proj := sc.ReuseProj(len(m.Vertices))
+	proj := sc.ReuseProj(nv)
 	halfW, halfH := float32(opt.Width)/2, float32(opt.Height)/2
-	for i, v := range m.Vertices {
-		p := opt.Camera.Rotate(v.Sub(center)).Scale(scale)
-		proj[i] = viz.Vec3{p[0] + halfW, halfH - p[1], p[2]}
+	j := 0
+	for i := 0; i < src.parts(); i++ {
+		for _, v := range src.part(i) {
+			p := opt.Camera.Rotate(v.Sub(center)).Scale(scale)
+			proj[j] = viz.Vec3{p[0] + halfW, halfH - p[1], p[2]}
+			j++
+		}
 	}
 
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 && m.TriangleCount() >= 1024 {
-		renderParallel(m, proj, img, zbuf, light, opt, workers)
+	nTri := nv / 3
+	if workers > 1 && nTri >= 1024 {
+		renderParallel(nTri, proj, img, zbuf, light, opt, workers)
 		return img
 	}
-	for t := 0; t < m.TriangleCount(); t++ {
+	for t := 0; t < nTri; t++ {
 		rasterTriangle(img, zbuf, proj[3*t], proj[3*t+1], proj[3*t+2], light, opt, 0, opt.Height)
 	}
 	return img
@@ -116,7 +186,7 @@ func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {
 // renderParallel splits the framebuffer into horizontal bands; every worker
 // rasterizes all triangles but only writes pixels inside its band, so no
 // locking is needed and output matches the serial path exactly.
-func renderParallel(m *viz.Mesh, proj []viz.Vec3, img *viz.Image, zbuf []float32, light viz.Vec3, opt Options, workers int) {
+func renderParallel(nTri int, proj []viz.Vec3, img *viz.Image, zbuf []float32, light viz.Vec3, opt Options, workers int) {
 	var wg sync.WaitGroup
 	band := (opt.Height + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -128,7 +198,7 @@ func renderParallel(m *viz.Mesh, proj []viz.Vec3, img *viz.Image, zbuf []float32
 		wg.Add(1)
 		go func(y0, y1 int) {
 			defer wg.Done()
-			for t := 0; t < m.TriangleCount(); t++ {
+			for t := 0; t < nTri; t++ {
 				rasterTriangle(img, zbuf, proj[3*t], proj[3*t+1], proj[3*t+2], light, opt, y0, y1)
 			}
 		}(y0, y1)

@@ -186,26 +186,9 @@ func (c *CollabSource) SteerFor(client string, params map[string]float64) error 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v := c.view(client)
-	p := c.sim.Params()
 	steerSim := false
 	for k, val := range params {
 		switch k {
-		case "left_pressure":
-			p.LeftPressure, steerSim = val, true
-		case "left_density":
-			p.LeftDensity, steerSim = val, true
-		case "right_pressure":
-			p.RightPressure, steerSim = val, true
-		case "right_density":
-			p.RightDensity, steerSim = val, true
-		case "gamma":
-			p.Gamma, steerSim = val, true
-		case "cfl":
-			p.CFL, steerSim = val, true
-		case "wind_velocity":
-			p.WindVelocity, steerSim = val, true
-		case "wind_density":
-			p.WindDensity, steerSim = val, true
 		case "isovalue":
 			v.req.Isovalue = float32(val)
 		case "yaw":
@@ -215,11 +198,14 @@ func (c *CollabSource) SteerFor(client string, params map[string]float64) error 
 		case "zoom":
 			v.req.Camera.Zoom = val
 		default:
-			return fmt.Errorf("webui: unknown steering parameter %q", k)
+			if !simengine.IsParamKey(k) {
+				return fmt.Errorf("webui: unknown steering parameter %q", k)
+			}
+			steerSim = true
 		}
 	}
 	if steerSim {
-		c.sim.SetParams(p)
+		c.sim.SteerByName(params)
 	}
 	v.renderSeq = 0 // force re-render under the new view
 	return nil

@@ -159,26 +159,9 @@ func (l *LiveSource) WaitFrame(ctx context.Context, since uint64) (uint64, []byt
 func (l *LiveSource) Steer(params map[string]float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p := l.sim.Params()
 	steerSim := false
 	for k, v := range params {
 		switch k {
-		case "left_pressure":
-			p.LeftPressure, steerSim = v, true
-		case "left_density":
-			p.LeftDensity, steerSim = v, true
-		case "right_pressure":
-			p.RightPressure, steerSim = v, true
-		case "right_density":
-			p.RightDensity, steerSim = v, true
-		case "gamma":
-			p.Gamma, steerSim = v, true
-		case "cfl":
-			p.CFL, steerSim = v, true
-		case "wind_velocity":
-			p.WindVelocity, steerSim = v, true
-		case "wind_density":
-			p.WindDensity, steerSim = v, true
 		case "isovalue":
 			l.req.Isovalue = float32(v)
 		case "yaw":
@@ -188,11 +171,14 @@ func (l *LiveSource) Steer(params map[string]float64) error {
 		case "zoom":
 			l.req.Camera.Zoom = v
 		default:
-			return fmt.Errorf("webui: unknown steering parameter %q", k)
+			if !simengine.IsParamKey(k) {
+				return fmt.Errorf("webui: unknown steering parameter %q", k)
+			}
+			steerSim = true
 		}
 	}
 	if steerSim {
-		l.sim.SetParams(p)
+		l.sim.SteerByName(params)
 	}
 	return nil
 }
